@@ -129,7 +129,9 @@ class ThreadCache
     unsigned owner_;
     ThreadCacheConfig cfg_;
     std::vector<SpanList> lists_;
-    /** O(1) span lookup by base address: (class, list position). */
+    /** O(1) span lookup by base address: (class, list position).
+     *  std::list::splice keeps iterators valid, so rotating a span
+     *  within its list never has to touch this index. */
     std::unordered_map<sim::MramAddr, std::pair<unsigned, SpanList::iterator>>
         index_;
     uint32_t peakSpans_ = 0;

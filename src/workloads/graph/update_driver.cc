@@ -4,7 +4,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "alloc/allocator.hh"
 #include "core/pim_system.hh"
@@ -36,48 +35,117 @@ shardOf(uint32_t node, unsigned num_dpus)
     return static_cast<unsigned>((node * 2654435761u) >> 8) % num_dpus;
 }
 
+ShardPartition
+partitionShards(const UpdateWorkload &w, unsigned num_shards,
+                const std::vector<unsigned> &ids)
+{
+    PIM_ASSERT(num_shards >= 1, "need at least one shard");
+    constexpr uint32_t kNotKept = ~0u;
+    ShardPartition p;
+    p.shards.resize(ids.size());
+    // Position in `ids` of each shard id, or kNotKept.
+    std::vector<uint32_t> pos(num_shards, kNotKept);
+    for (size_t i = 0; i < ids.size(); ++i) {
+        PIM_ASSERT(ids[i] < num_shards && pos[ids[i]] == kNotKept,
+                   "shard id ", ids[i], " out of range or repeated");
+        pos[ids[i]] = static_cast<uint32_t>(i);
+    }
+
+    // Node pass: every node's shard, and the local id of each node of
+    // a kept shard, handed out in ascending node order.
+    std::vector<uint32_t> owner(w.numNodes);
+    std::vector<uint32_t> local(w.numNodes);
+    for (uint32_t u = 0; u < w.numNodes; ++u) {
+        owner[u] = shardOf(u, num_shards);
+        const uint32_t i = pos[owner[u]];
+        if (i != kNotKept)
+            local[u] = p.shards[i].numLocalNodes++;
+    }
+
+    // Edge passes: count per shard, size each kept list exactly (the
+    // lists live as long as the run), then append in stream order.
+    auto split = [&](const std::vector<Edge> &edges,
+                     std::vector<Edge> Shard::*list,
+                     std::vector<uint64_t> &counts) {
+        counts.assign(num_shards, 0);
+        for (const Edge &e : edges) {
+            PIM_ASSERT(e.src < w.numNodes, "edge source ", e.src,
+                       " is not a node of the dataset");
+            ++counts[owner[e.src]];
+        }
+        for (size_t i = 0; i < ids.size(); ++i)
+            (p.shards[i].*list).reserve(counts[ids[i]]);
+        for (const Edge &e : edges) {
+            const uint32_t i = pos[owner[e.src]];
+            if (i != kNotKept)
+                (p.shards[i].*list).push_back({local[e.src], e.dst});
+        }
+    };
+    std::vector<uint64_t> base_counts;
+    split(w.baseEdges, &Shard::baseEdges, base_counts);
+    split(w.updateEdges, &Shard::updateEdges, p.updateEdgeCounts);
+    return p;
+}
+
 namespace {
 
 /** MRAM offset of the node tables (clear of the 32 MB allocator heap). */
 constexpr sim::MramAddr kTableBase = 48u << 20;
 
-/** Shard-local view of the workload for one DPU. */
-struct Shard
+/**
+ * Untimed deployment of @p shard on @p dpu: the structure under test
+ * (and its allocator, initialized) is created into @p graph and
+ * @p allocator, the pre-update graph is built by cfg.tasklets tasklets,
+ * and the stats are reset so the measured phase starts clean.
+ */
+void
+deployShard(sim::Dpu &dpu, const GraphUpdateConfig &cfg, const Shard &shard,
+            std::unique_ptr<alloc::Allocator> &allocator,
+            std::unique_ptr<GraphStructure> &graph)
 {
-    uint32_t numLocalNodes = 0;
-    std::vector<Edge> baseEdges;   ///< src remapped to local ids
-    std::vector<Edge> updateEdges; ///< src remapped to local ids
-};
+    if (cfg.structure == StructureKind::StaticCsr) {
+        const uint32_t max_edges = static_cast<uint32_t>(
+            shard.baseEdges.size() + shard.updateEdges.size());
+        graph = std::make_unique<CsrGraph>(dpu, kTableBase,
+                                           shard.numLocalNodes, max_edges);
+    } else {
+        core::AllocatorOverrides ov;
+        ov.numTasklets = cfg.tasklets;
+        allocator = core::makeAllocator(dpu, cfg.allocator, ov);
+        if (cfg.structure == StructureKind::LinkedList) {
+            graph = std::make_unique<LinkedListGraph>(
+                dpu, *allocator, kTableBase, shard.numLocalNodes);
+        } else {
+            graph = std::make_unique<VarArrayGraph>(
+                dpu, *allocator, kTableBase, shard.numLocalNodes);
+        }
+    }
 
-Shard
-buildShard(const UpdateWorkload &w, unsigned dpu, unsigned num_dpus)
-{
-    Shard s;
-    std::unordered_map<uint32_t, uint32_t> local;
-    auto localId = [&](uint32_t u) {
-        auto it = local.find(u);
-        if (it != local.end())
-            return it->second;
-        const uint32_t id = static_cast<uint32_t>(local.size());
-        local.emplace(u, id);
-        return id;
-    };
-    // Register every shard-owned node first so ids are stable and the
-    // table covers nodes that only appear in the update stream.
-    for (uint32_t u = 0; u < w.numNodes; ++u) {
-        if (shardOf(u, num_dpus) == dpu)
-            localId(u);
+    if (allocator)
+        dpu.run(1, [&](sim::Tasklet &t) { allocator->init(t); });
+    if (cfg.structure == StructureKind::StaticCsr) {
+        dpu.run(cfg.tasklets, [&](sim::Tasklet &t) {
+            if (t.id() == 0)
+                graph->build(t, shard.baseEdges);
+        });
+    } else {
+        // Node-partitioned parallel build: tasklet k owns local nodes
+        // with id % tasklets == k, so no two tasklets ever touch the
+        // same adjacency list. Each tasklet's edges are bucketed once,
+        // in stream order.
+        std::vector<std::vector<Edge>> mine(cfg.tasklets);
+        for (const Edge &e : shard.baseEdges)
+            mine[e.src % cfg.tasklets].push_back(e);
+        dpu.run(cfg.tasklets,
+                [&](sim::Tasklet &t) { graph->build(t, mine[t.id()]); });
     }
-    s.numLocalNodes = static_cast<uint32_t>(local.size());
-    for (const auto &e : w.baseEdges) {
-        if (shardOf(e.src, num_dpus) == dpu)
-            s.baseEdges.push_back({localId(e.src), e.dst});
+
+    // Measured phase starts here.
+    dpu.resetStats();
+    if (allocator) {
+        allocator->stats().resetCounters();
+        allocator->stats().traceEvents = cfg.traceEvents;
     }
-    for (const auto &e : w.updateEdges) {
-        if (shardOf(e.src, num_dpus) == dpu)
-            s.updateEdges.push_back({localId(e.src), e.dst});
-    }
-    return s;
 }
 
 /** The truncated update split of @p cfg's dataset. */
@@ -151,9 +219,9 @@ mergeOutcomes(GraphUpdateResult &out, const GraphUpdateConfig &cfg,
 
 /**
  * The full state of one streaming graph-update experiment between
- * step() calls: the per-slot shard/allocator/graph built by the untimed
- * launch, the per-shard round-slice bookkeeping, and the accumulated
- * per-shard outcomes.
+ * step() calls: the per-slot shard dealt at construction, the
+ * allocator/graph built from it by the untimed launch, the per-shard
+ * round-slice bookkeeping, and the accumulated per-shard outcomes.
  */
 struct GraphUpdateTask::Impl
 {
@@ -186,7 +254,6 @@ struct GraphUpdateTask::Impl
     unsigned numShards;   ///< = part.size(): logical dataset shards
     unsigned rounds;      ///< total update rounds (>= 1)
     unsigned round = 0;   ///< rounds enqueued so far
-    UpdateWorkload w;     ///< owned: launch bodies run at drain time
     /** Update edges owned by each logical shard (scatter byte counts
      *  of shipped rounds derive from the per-round slice of these). */
     std::vector<uint64_t> shardEdgeCounts;
@@ -261,11 +328,10 @@ GraphUpdateTask::Impl::Impl(const GraphUpdateConfig &cfg_in,
     : cfg(cfg_in), queue(q), sys(q.system()), tenant(tenant_in),
       traced(q.recorder() != nullptr), part(partition),
       numShards(partition.size()),
-      rounds(std::max(1u, cfg_in.updateRounds)), w(buildWorkload(cfg_in)),
+      rounds(std::max(1u, cfg_in.updateRounds)),
       policy(cfg_in.faultPolicy), partAtBuild(partition)
 {
     PIM_ASSERT(numShards >= 1, "need at least one DPU in the partition");
-    res.updateEdgesTotal = w.updateEdges.size();
 
     if (cfg.metrics != nullptr) {
         met = cfg.metrics;
@@ -273,10 +339,6 @@ GraphUpdateTask::Impl::Impl(const GraphUpdateConfig &cfg_in,
         if (cfg.sloRoundSec > 0.0)
             met->slo().declare("graph.round", cfg.sloRoundSec);
     }
-
-    shardEdgeCounts.assign(numShards, 0);
-    for (const auto &e : w.updateEdges)
-        ++shardEdgeCounts[shardOf(e.src, numShards)];
 
     slots.resize(sys.sampleCount());
     outcomes.resize(sys.sampleCount());
@@ -294,70 +356,36 @@ GraphUpdateTask::Impl::Impl(const GraphUpdateConfig &cfg_in,
             partAtBuild.indexOf(sys.globalIndex(slot)));
     }
 
+    // One partition pass deals every sampled partition DPU its shard.
+    // Shard ids are the partition's dense indexOf order, so a partition
+    // run shards the dataset over its own DPUs exactly like a
+    // whole-system run over all of them. The dataset itself is not
+    // kept: the launches below only read the shards.
+    {
+        const UpdateWorkload w = buildWorkload(cfg);
+        res.updateEdgesTotal = w.updateEdges.size();
+        const std::vector<unsigned> &sampled = partAtBuild.slots();
+        std::vector<unsigned> ids;
+        ids.reserve(sampled.size());
+        for (const unsigned slot : sampled)
+            ids.push_back(static_cast<unsigned>(slotShardIdx[slot]));
+        ShardPartition split = partitionShards(w, numShards, ids);
+        shardEdgeCounts = std::move(split.updateEdgeCounts);
+        for (size_t i = 0; i < sampled.size(); ++i)
+            slots[sampled[i]].shard = std::move(split.shards[i]);
+    }
+
     // Untimed deployment launch: every sampled partition DPU builds its
     // shard's pre-update graph (allocator init + parallel build), then
-    // arms the measured-phase counters. Shard ids are the partition's
-    // dense indexOf order, so a partition run shards the dataset over
-    // its own DPUs exactly like a whole-system run over all of them.
+    // arms the measured-phase counters.
     buildEvt = queue.launchProgram(
         part,
         [this](sim::Dpu &dpu, unsigned dpu_idx) {
-            const unsigned slot = sys.slotOf(dpu_idx);
-            SlotState &st = slots[slot];
-            st.shard = buildShard(
-                w, static_cast<unsigned>(slotShardIdx[slot]), numShards);
+            SlotState &st = slots[sys.slotOf(dpu_idx)];
             if (st.shard.numLocalNodes == 0)
                 return;
             st.active = true;
-
-            if (cfg.structure == StructureKind::StaticCsr) {
-                const uint32_t max_edges = static_cast<uint32_t>(
-                    st.shard.baseEdges.size()
-                    + st.shard.updateEdges.size());
-                st.graph = std::make_unique<CsrGraph>(
-                    dpu, kTableBase, st.shard.numLocalNodes, max_edges);
-            } else {
-                core::AllocatorOverrides ov;
-                ov.numTasklets = cfg.tasklets;
-                st.allocator =
-                    core::makeAllocator(dpu, cfg.allocator, ov);
-                if (cfg.structure == StructureKind::LinkedList) {
-                    st.graph = std::make_unique<LinkedListGraph>(
-                        dpu, *st.allocator, kTableBase,
-                        st.shard.numLocalNodes);
-                } else {
-                    st.graph = std::make_unique<VarArrayGraph>(
-                        dpu, *st.allocator, kTableBase,
-                        st.shard.numLocalNodes);
-                }
-            }
-
-            if (st.allocator)
-                dpu.run(1,
-                        [&](sim::Tasklet &t) { st.allocator->init(t); });
-            dpu.run(cfg.tasklets, [&](sim::Tasklet &t) {
-                if (cfg.structure == StructureKind::StaticCsr) {
-                    if (t.id() == 0)
-                        st.graph->build(t, st.shard.baseEdges);
-                    return;
-                }
-                // Node-partitioned parallel build: tasklet k owns
-                // local nodes with id % tasklets == k, so no two
-                // tasklets ever touch the same adjacency list.
-                std::vector<Edge> mine;
-                for (const auto &e : st.shard.baseEdges) {
-                    if (e.src % cfg.tasklets == t.id())
-                        mine.push_back(e);
-                }
-                st.graph->build(t, mine);
-            });
-
-            // Measured phase starts at the first update round.
-            dpu.resetStats();
-            if (st.allocator) {
-                st.allocator->stats().resetCounters();
-                st.allocator->stats().traceEvents = cfg.traceEvents;
-            }
+            deployShard(dpu, cfg, st.shard, st.allocator, st.graph);
         },
         {.label = traced ? "graph build" : "", .tenant = tenant});
 }
@@ -937,11 +965,7 @@ runGraphUpdate(const GraphUpdateConfig &cfg)
         return out;
     }
 
-    const UpdateWorkload w = buildWorkload(cfg);
-
     GraphUpdateResult out;
-    out.updateEdgesTotal = w.updateEdges.size();
-
     core::PimSystem sys(scfg);
     core::CommandQueue queue(sys);
     if (cfg.recorder != nullptr)
@@ -949,7 +973,18 @@ runGraphUpdate(const GraphUpdateConfig &cfg)
     if (cfg.metrics != nullptr)
         queue.attachMetrics(cfg.metrics);
 
+    // One partition pass deals every sampled DPU its shard (slot order);
+    // the dataset is dropped before the launch.
     const unsigned simulated = sys.sampleCount();
+    std::vector<Shard> shards;
+    {
+        const UpdateWorkload w = buildWorkload(cfg);
+        out.updateEdgesTotal = w.updateEdges.size();
+        std::vector<unsigned> ids(simulated);
+        for (unsigned slot = 0; slot < simulated; ++slot)
+            ids[slot] = sys.globalIndex(slot);
+        shards = partitionShards(w, cfg.numDpus, ids).shards;
+    }
     std::vector<ShardOutcome> outcomes(simulated);
 
     // One launch, heterogeneous per-DPU work: every sampled DPU builds
@@ -957,57 +992,13 @@ runGraphUpdate(const GraphUpdateConfig &cfg)
     // bodies are safely concurrent).
     queue.launchProgram(sys.all(), [&](sim::Dpu &dpu, unsigned dpu_idx) {
         const unsigned slot = sys.slotOf(dpu_idx);
-        const Shard shard = buildShard(w, dpu_idx, cfg.numDpus);
+        const Shard shard = std::move(shards[slot]);
         if (shard.numLocalNodes == 0)
             return;
 
         std::unique_ptr<alloc::Allocator> allocator;
         std::unique_ptr<GraphStructure> graph;
-
-        if (cfg.structure == StructureKind::StaticCsr) {
-            const uint32_t max_edges = static_cast<uint32_t>(
-                shard.baseEdges.size() + shard.updateEdges.size());
-            graph = std::make_unique<CsrGraph>(
-                dpu, kTableBase, shard.numLocalNodes, max_edges);
-        } else {
-            core::AllocatorOverrides ov;
-            ov.numTasklets = cfg.tasklets;
-            allocator = core::makeAllocator(dpu, cfg.allocator, ov);
-            if (cfg.structure == StructureKind::LinkedList) {
-                graph = std::make_unique<LinkedListGraph>(
-                    dpu, *allocator, kTableBase, shard.numLocalNodes);
-            } else {
-                graph = std::make_unique<VarArrayGraph>(
-                    dpu, *allocator, kTableBase, shard.numLocalNodes);
-            }
-        }
-
-        // Untimed: allocator init, then pre-update graph construction.
-        if (allocator)
-            dpu.run(1, [&](sim::Tasklet &t) { allocator->init(t); });
-        dpu.run(cfg.tasklets, [&](sim::Tasklet &t) {
-            if (cfg.structure == StructureKind::StaticCsr) {
-                if (t.id() == 0)
-                    graph->build(t, shard.baseEdges);
-                return;
-            }
-            // Node-partitioned parallel build: tasklet k owns local
-            // nodes with id % tasklets == k, so no two tasklets ever
-            // touch the same adjacency list.
-            std::vector<Edge> mine;
-            for (const auto &e : shard.baseEdges) {
-                if (e.src % cfg.tasklets == t.id())
-                    mine.push_back(e);
-            }
-            graph->build(t, mine);
-        });
-
-        // Measured phase starts here.
-        dpu.resetStats();
-        if (allocator) {
-            allocator->stats().resetCounters();
-            allocator->stats().traceEvents = cfg.traceEvents;
-        }
+        deployShard(dpu, cfg, shard, allocator, graph);
 
         dpu.run(cfg.tasklets, [&](sim::Tasklet &t) {
             for (const auto &e : shard.updateEdges) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "alloc/alloc_stats.hh"
 #include "core/allocator_factory.hh"
@@ -245,6 +246,42 @@ class GraphUpdateTask
 
 /** DPU shard owning @p node (multiplicative hash, uniform). */
 unsigned shardOf(uint32_t node, unsigned num_dpus);
+
+/** Shard-local view of the update workload for one DPU. */
+struct Shard
+{
+    /** Nodes the shard owns; local ids are 0 .. numLocalNodes-1. */
+    uint32_t numLocalNodes = 0;
+    std::vector<Edge> baseEdges;   ///< src remapped to local ids
+    std::vector<Edge> updateEdges; ///< src remapped to local ids
+};
+
+/** The requested shards of one partition pass. */
+struct ShardPartition
+{
+    /** shards[i] is shard ids[i] of partitionShards' request. */
+    std::vector<Shard> shards;
+    /** Update edges owned by each of the num_shards shards, requested
+     *  or not. */
+    std::vector<uint64_t> updateEdgeCounts;
+};
+
+/**
+ * Split @p w into shards of a @p num_shards-way partition, keeping only
+ * the shards named in @p ids (distinct, each < num_shards, any order).
+ *
+ * Shard j owns every node u < w.numNodes with shardOf(u, num_shards) ==
+ * j, including nodes that appear in no edge or only in the update
+ * stream. An owned node's local id is its rank among the shard's nodes
+ * in ascending node order. An edge belongs to the shard of its src; it
+ * keeps its position in the base or update stream, with src remapped
+ * to the local id and dst left global.
+ *
+ * One pass over the nodes and two over each edge stream, whatever the
+ * number of requested shards: O(|V| + |E|) host work.
+ */
+ShardPartition partitionShards(const UpdateWorkload &w, unsigned num_shards,
+                               const std::vector<unsigned> &ids);
 
 } // namespace pim::workloads::graph
 
