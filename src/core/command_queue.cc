@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "fault/injector.hh"
@@ -15,10 +13,6 @@ namespace pim::core {
 
 namespace {
 
-/** -1 = unset; otherwise a latched CommandQueue::DrainMode. Atomic for
- *  the same reason as the SimMutex default: first use can race. */
-std::atomic<int> g_default_drain_mode{-1};
-
 using Clock = std::chrono::steady_clock;
 
 double
@@ -29,61 +23,9 @@ secondsSince(Clock::time_point t0)
 
 } // namespace
 
-CommandQueue::DrainMode
-CommandQueue::drainModeFromEnv(const char *value)
-{
-    if (value == nullptr || *value == '\0'
-        || std::strcmp(value, "barrier") == 0)
-        return DrainMode::Barrier;
-    if (std::strcmp(value, "pipelined") == 0)
-        return DrainMode::Pipelined;
-    PIM_FATAL("unrecognized PIM_SIM_DRAIN value \"", value,
-              "\" (expected \"barrier\" or \"pipelined\")");
-}
-
-CommandQueue::DrainMode
-CommandQueue::defaultDrainMode()
-{
-    int m = g_default_drain_mode.load(std::memory_order_relaxed);
-    if (m < 0) {
-        // Benign race: concurrent first calls parse the same value.
-        m = static_cast<int>(
-            drainModeFromEnv(std::getenv("PIM_SIM_DRAIN")));
-        g_default_drain_mode.store(m, std::memory_order_relaxed);
-    }
-    return static_cast<DrainMode>(m);
-}
-
-void
-CommandQueue::setDefaultDrainMode(DrainMode mode)
-{
-    g_default_drain_mode.store(static_cast<int>(mode),
-                               std::memory_order_relaxed);
-}
-
-void
-CommandQueue::resetDefaultDrainModeForTesting()
-{
-    g_default_drain_mode.store(-1, std::memory_order_relaxed);
-}
-
-const char *
-CommandQueue::drainModeName(DrainMode mode)
-{
-    return mode == DrainMode::Barrier ? "barrier" : "pipelined";
-}
-
 CommandQueue::CommandQueue(PimSystem &sys)
-    : sys_(sys), rankT_(sys.numRanks(), 0.0),
-      drainMode_(defaultDrainMode())
+    : sys_(sys), rankT_(sys.numRanks(), 0.0)
 {
-}
-
-void
-CommandQueue::setDrainMode(DrainMode mode)
-{
-    drain();
-    drainMode_ = mode;
 }
 
 TenantId
@@ -533,12 +475,10 @@ CommandQueue::drain()
     for (const unsigned slot : activeSlots_)
         chains_[slot].clear();
     activeSlots_.clear();
-    size_t launch_cmds = 0;
     for (Command &cmd : pending_) {
         // Timed launches carry no program: nothing to execute here.
         if (cmd.type != Command::Type::Launch || !cmd.program)
             continue;
-        ++launch_cmds;
         const std::vector<unsigned> &slots = cmd.part->slots;
         for (unsigned pos = 0;
              pos < static_cast<unsigned>(slots.size()); ++pos) {
@@ -550,31 +490,7 @@ CommandQueue::drain()
     }
     std::sort(activeSlots_.begin(), activeSlots_.end());
 
-    // Pipelined mode: per-command ready counters let the fold start
-    // before every chain finished. Falls back to the barrier when the
-    // engine cannot dispatch (no pool, or a nested drain inside a pool
-    // worker) — the fold below then needs no counters at all.
-    const bool pipelined = drainMode_ == DrainMode::Pipelined
-        && launch_cmds > 0
-        && sys_.engine().canDispatch(activeSlots_.size());
-    if (pipelined) {
-        if (remainingCap_ < pending_.size()) {
-            remaining_ = std::make_unique<std::atomic<uint32_t>[]>(
-                pending_.size());
-            remainingCap_ = pending_.size();
-        }
-        for (size_t k = 0; k < pending_.size(); ++k) {
-            const Command &cmd = pending_[k];
-            const uint32_t n =
-                cmd.type == Command::Type::Launch && cmd.program
-                    ? static_cast<uint32_t>(cmd.part->slots.size())
-                    : 0;
-            remaining_[k].store(n, std::memory_order_relaxed);
-        }
-    }
-    // Named (not a temporary): under dispatch() the engine keeps a
-    // pointer to this function until waitDispatch() below.
-    const std::function<void(size_t)> chainFn = [&](size_t i) {
+    sys_.engine().forEach(activeSlots_.size(), [&](size_t i) {
         const unsigned slot = activeSlots_[i];
         const unsigned global = sys_.globalIndex(slot);
         sim::Dpu &dpu = sys_.dpu(slot);
@@ -587,27 +503,9 @@ CommandQueue::drain()
             if (e.cmd->eventsOff != kNoArena)
                 slotEventsArena_[e.cmd->eventsOff + e.pos] =
                     dpu.lastSimEvents();
-            if (pipelined) {
-                const size_t k =
-                    static_cast<size_t>(e.cmd - pending_.data());
-                if (remaining_[k].fetch_sub(
-                        1, std::memory_order_acq_rel) == 1) {
-                    // Empty critical section before notifying: the
-                    // fold cannot then miss the wakeup between its
-                    // predicate check and its wait.
-                    { std::lock_guard<std::mutex> g(drainMutex_); }
-                    drainCv_.notify_one();
-                }
-            }
         }
-    };
-    Clock::time_point t_phase1_end = t_start;
-    if (pipelined) {
-        sys_.engine().dispatch(activeSlots_.size(), chainFn);
-    } else {
-        sys_.engine().forEach(activeSlots_.size(), chainFn);
-        t_phase1_end = Clock::now();
-    }
+    });
+    const Clock::time_point t_phase1_end = Clock::now();
 
     // Phase 2: fold the commands into the timelines, sequentially and
     // in enqueue order — bit-identical for any worker-thread count.
@@ -654,36 +552,7 @@ CommandQueue::drain()
         met_->sampler().eventDelta(depthSid_, traceEpoch_ + t0, +1);
         met_->sampler().eventDelta(depthSid_, traceEpoch_ + t1, -1);
     };
-    const Clock::time_point t_fold_start = Clock::now();
-    for (size_t cmd_idx = 0; cmd_idx < pending_.size(); ++cmd_idx) {
-        Command &cmd = pending_[cmd_idx];
-        if (pipelined
-            && remaining_[cmd_idx].load(std::memory_order_acquire)
-                   != 0) {
-            // Block until every chain entry of this command ran (the
-            // acquire-load pairs with the workers' release-decrements,
-            // publishing the arena spans). The timeout exists only to
-            // notice a worker that died mid-chain: its job drains
-            // without running the remaining entries, so the counter
-            // would never reach zero — join the pool instead, which
-            // rethrows the worker's exception.
-            std::unique_lock<std::mutex> lk(drainMutex_);
-            while (!drainCv_.wait_for(
-                lk, std::chrono::milliseconds(50), [&]() {
-                    return remaining_[cmd_idx].load(
-                               std::memory_order_acquire) == 0;
-                })) {
-                if (sys_.engine().dispatchDone()
-                    && remaining_[cmd_idx].load(
-                           std::memory_order_acquire) != 0) {
-                    lk.unlock();
-                    sys_.engine().waitDispatch();
-                    PIM_PANIC("pipelined drain: launch chains finished "
-                              "without error but command ", cmd_idx,
-                              " never became ready");
-                }
-            }
-        }
+    for (Command &cmd : pending_) {
         const Event id = static_cast<Event>(
             resolvedBase_ + resolved_.size());
         const double dep =
@@ -979,21 +848,11 @@ CommandQueue::drain()
         resolved_.push_back(cmd.end);
         resolvedFailed_.push_back(failed ? 1 : 0);
     }
-    const Clock::time_point t_fold_end = Clock::now();
-    if (pipelined) {
-        // The fold consumed every launch, so the chains are done; the
-        // join is immediate and only releases the dispatch slot (and
-        // rethrows a worker exception raised after the last wait).
-        sys_.engine().waitDispatch();
-        t_phase1_end = Clock::now();
-    }
     stats_.drains += 1;
     stats_.commands += folded;
     stats_.phase1Sec +=
         std::chrono::duration<double>(t_phase1_end - t_start).count();
-    stats_.phase2Sec +=
-        std::chrono::duration<double>(t_fold_end - t_fold_start)
-            .count();
+    stats_.phase2Sec += secondsSince(t_phase1_end);
     stats_.wallSec += secondsSince(t_start);
     if (met_ != nullptr) {
         qm_.drainPhase1->set(stats_.phase1Sec);

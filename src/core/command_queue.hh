@@ -1,8 +1,8 @@
 /**
  * @file
  * Asynchronous command-queue runtime (the unified execution path of the
- * Fig 5 host programming model). Every way the repo drives DPUs —
- * simulateDpus(), HostRuntime, the graph/LLM workload drivers — funnels
+ * Fig 5 host programming model). Every way the repo drives DPUs — the
+ * benches, the examples, the graph/LLM workload drivers — funnels
  * through this queue: commands are enqueued against a DpuSet and
  * resolved against three kinds of timelines:
  *
@@ -27,9 +27,7 @@
  * the fold is identical to the historical single-host queue.
  *
  * Submission API: every command takes a trailing CommandOptions{after,
- * label, tenant}. The historical positional tails (`after`, `label`)
- * survive as thin deprecated overloads so old call sites compile
- * unchanged, but new code should pass CommandOptions.
+ * label, tenant}.
  *
  * Completion callbacks: onComplete(event, fn) registers a host-side
  * callback on a pending event; the next drain dispatches due callbacks
@@ -39,8 +37,9 @@
  *
  * Launch bodies run on the ParallelDpuEngine host pool when the queue
  * drains (sync(), a blocking transfer, or elapsed-time queries force a
- * drain); the timeline fold afterwards is sequential in enqueue order,
- * so every result is bit-identical for any worker-thread count. sync()
+ * drain); once every body has run, the timeline fold is sequential in
+ * enqueue order, so every result is bit-identical for any worker-thread
+ * count. sync()
  * joins all timelines and returns the makespan — overlapped host and
  * PIM work is costed as max-of-timelines, not sum.
  *
@@ -48,7 +47,7 @@
  * the target set. A touched rank's launch time is the max over its
  * sampled members; ranks with no sampled member are charged the max
  * over all sampled members of the launch (the sample is assumed
- * representative, consistent with the reduction in core::simulateDpus).
+ * representative: the paper's workloads shard uniformly across DPUs).
  *
  * Tracing: attachRecorder() hooks a trace::Recorder into the drain —
  * every resolved command then also emits spans on the lane(s) it
@@ -85,12 +84,9 @@
 #ifndef PIM_CORE_COMMAND_QUEUE_HH
 #define PIM_CORE_COMMAND_QUEUE_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -140,9 +136,8 @@ using TenantId = unsigned;
 inline constexpr TenantId kDefaultTenant = 0;
 
 /**
- * Per-command submission options — the v2 form of the positional
- * `after`/`label` tails every command used to take. Designated
- * initializers read best at call sites:
+ * Per-command submission options. Designated initializers read best at
+ * call sites:
  *
  *   queue.launchTimed(ranks, sec, {.after = ev, .label = "attn"});
  *   queue.memcpyAsync(set, bytes, dir, {.tenant = serving});
@@ -171,50 +166,28 @@ class CommandQueue
 {
   public:
     /**
-     * Drain scheduling mode (the PIM_SIM_DRAIN knob). Both modes
-     * produce bit-identical results — the timeline fold is strictly
-     * sequential in enqueue order either way; the mode only decides
-     * whether the fold waits for *all* launch chains before starting.
+     * The drain's only scheduling mode, and its name. They exist only
+     * because perfbench prints them in its run config
+     * ("PIM_SIM_DRAIN": "barrier"); the queue reads no such setting.
      */
-    enum class DrainMode {
-        /** Classic two-phase drain: phase 2 starts after every launch
-         *  chain finished (one pool barrier per drain). */
-        Barrier,
-        /** The fold consumes commands in enqueue order as their slot
-         *  results become ready (per-command atomic remaining-slot
-         *  counters), overlapping DPU simulation with timeline
-         *  folding. Falls back to Barrier when the engine has no pool
-         *  to overlap with (PIM_SIM_THREADS=1 or a nested drain). */
-        Pipelined,
-    };
-
-    /**
-     * Parse a PIM_SIM_DRAIN value: unset / "" / "barrier" -> Barrier,
-     * "pipelined" -> Pipelined; anything else is a fatal config error.
-     */
-    static DrainMode drainModeFromEnv(const char *value);
-
-    /** Process-wide default mode: latched from PIM_SIM_DRAIN on first
-     *  use (or set programmatically); new queues start from it. */
-    static DrainMode defaultDrainMode();
-
-    /** Override the process-wide default (tests, benches). */
-    static void setDefaultDrainMode(DrainMode mode);
-
-    /** Forget the latched default so the next defaultDrainMode() call
-     *  re-reads PIM_SIM_DRAIN (testing only). */
-    static void resetDefaultDrainModeForTesting();
-
-    /** Display name of @p mode ("barrier" / "pipelined"). */
-    static const char *drainModeName(DrainMode mode);
+    enum class DrainMode { Barrier };
+    static constexpr DrainMode defaultDrainMode()
+    {
+        return DrainMode::Barrier;
+    }
+    static constexpr const char *drainModeName(DrainMode)
+    {
+        return "barrier";
+    }
 
     /**
      * Cumulative host-wall cost of this queue's drains — the real time
      * the simulator spent orchestrating, as opposed to the simulated
-     * time the fold computes. phase1Sec spans launch-body execution
-     * (dispatch to pool join), phase2Sec the sequential fold; under
-     * Pipelined the two windows overlap, so they can sum to more than
-     * wallSec. Zeroed by resetTimeline() alongside the work counters.
+     * time the fold computes. phase1Sec spans the chain build and
+     * launch-body execution up to the pool join, phase2Sec the
+     * sequential fold that starts after it (the phases never overlap);
+     * wallSec spans the whole drain except the completion callbacks.
+     * Zeroed by resetTimeline() alongside the work counters.
      */
     struct DrainStats
     {
@@ -228,14 +201,6 @@ class CommandQueue
     };
 
     explicit CommandQueue(PimSystem &sys);
-
-    /** This queue's drain mode (latched from defaultDrainMode() at
-     *  construction; see setDrainMode). */
-    DrainMode drainMode() const { return drainMode_; }
-
-    /** Switch the drain mode; pending commands drain under the old
-     *  mode first (results are identical either way). */
-    void setDrainMode(DrainMode mode);
 
     /** Host-wall drain cost accumulated so far (see DrainStats). */
     const DrainStats &drainStats() const { return stats_; }
@@ -364,117 +329,6 @@ class CommandQueue
      * no-op if the host is already past it.
      */
     void hostIdleUntil(double seconds, const CommandOptions &opts = {});
-
-    // ------------------------------------------------------------------
-    // Deprecated positional-tail overloads (the v1 submission API).
-    // They forward to the CommandOptions form and exist only so
-    // pre-CommandOptions call sites compile unchanged; new code should
-    // pass CommandOptions. The `after` parameter is deliberately
-    // defaultless: tail-less calls resolve to the canonical overloads.
-    // ------------------------------------------------------------------
-
-    /** @deprecated Use the CommandOptions overload. */
-    double memcpy(const DpuSet &set, uint64_t bytes_per_dpu,
-                  CopyDirection dir, const std::string &label)
-    {
-        return memcpy(set, bytes_per_dpu, dir,
-                      CommandOptions{kNoEvent, label});
-    }
-
-    /** @deprecated Use the CommandOptions overload. */
-    Event memcpyAsync(const DpuSet &set, uint64_t bytes_per_dpu,
-                      CopyDirection dir, Event after,
-                      const std::string &label = "")
-    {
-        return memcpyAsync(set, bytes_per_dpu, dir,
-                           CommandOptions{after, label});
-    }
-
-    /** @deprecated Use the CommandOptions overload. */
-    double memcpyScatter(const DpuSet &set,
-                         const std::vector<uint64_t> &bytes_per_dpu,
-                         CopyDirection dir, const std::string &label)
-    {
-        return memcpyScatter(set, bytes_per_dpu, dir,
-                             CommandOptions{kNoEvent, label});
-    }
-
-    /** @deprecated Use the CommandOptions overload. */
-    Event memcpyScatterAsync(const DpuSet &set,
-                             std::vector<uint64_t> bytes_per_dpu,
-                             CopyDirection dir, Event after,
-                             const std::string &label = "")
-    {
-        return memcpyScatterAsync(set, std::move(bytes_per_dpu), dir,
-                                  CommandOptions{after, label});
-    }
-
-    /** @deprecated Use the CommandOptions overload. */
-    Event memcpyBufferedAsync(const DpuSet &set, uint64_t bytes_per_dpu,
-                              CopyDirection dir, Event after,
-                              const std::string &label = "")
-    {
-        return memcpyBufferedAsync(set, bytes_per_dpu, dir,
-                                   CommandOptions{after, label});
-    }
-
-    /** @deprecated Use the CommandOptions overload. */
-    Event memcpyScatterBufferedAsync(const DpuSet &set,
-                                     std::vector<uint64_t> bytes_per_dpu,
-                                     CopyDirection dir, Event after,
-                                     const std::string &label = "")
-    {
-        return memcpyScatterBufferedAsync(set, std::move(bytes_per_dpu),
-                                          dir,
-                                          CommandOptions{after, label});
-    }
-
-    /** @deprecated Use the CommandOptions overload. */
-    Event launch(const DpuSet &set, unsigned tasklets,
-                 std::function<void(sim::Tasklet &, unsigned)> body,
-                 Event after, const std::string &label = "")
-    {
-        return launch(set, tasklets, std::move(body),
-                      CommandOptions{after, label});
-    }
-
-    /** @deprecated Use the CommandOptions overload. */
-    Event launchProgram(const DpuSet &set,
-                        std::function<void(sim::Dpu &, unsigned)> program,
-                        Event after, const std::string &label = "")
-    {
-        return launchProgram(set, std::move(program),
-                             CommandOptions{after, label});
-    }
-
-    /** @deprecated Use the CommandOptions overload. */
-    Event launchTimed(const DpuSet &set, double seconds, Event after,
-                      const std::string &label = "")
-    {
-        return launchTimed(set, seconds, CommandOptions{after, label});
-    }
-
-    /** @deprecated Use the CommandOptions overload. */
-    double hostCompute(uint64_t tasks, uint64_t instrs_per_task,
-                       Event after, const std::string &label = "")
-    {
-        return hostCompute(tasks, instrs_per_task,
-                           CommandOptions{after, label});
-    }
-
-    /** @deprecated Use the CommandOptions overload. */
-    double hostBusy(double seconds, Event after,
-                    const std::string &label = "")
-    {
-        return hostBusy(seconds, CommandOptions{after, label});
-    }
-
-    /** @deprecated Use the CommandOptions overload. */
-    void hostIdleUntil(double seconds, Event after,
-                       const std::string &label = "")
-    {
-        hostIdleUntil(seconds, CommandOptions{after, label});
-    }
 
     /**
      * Register a host-side completion callback on pending event @p e:
@@ -810,8 +664,6 @@ class CommandQueue
     // drains allocates nothing.
     // ------------------------------------------------------------------
 
-    /** This queue's drain scheduling mode. */
-    DrainMode drainMode_;
     /** Cumulative host-wall drain cost (see drainStats()). */
     DrainStats stats_;
     /** Per-slot ordered launch chains, indexed by sample slot; only
@@ -827,16 +679,6 @@ class CommandQueue
     std::vector<uint64_t> slotCyclesArena_;
     /** Per-slot simulation-event counts (metrics attached only). */
     std::vector<uint64_t> slotEventsArena_;
-    /** Pipelined mode: per-command count of slots whose chain entry
-     *  has not executed yet, indexed by position in pending_. A
-     *  worker's release-decrement to zero publishes the command's
-     *  arena spans; the fold's acquire-load pairs with it. Separately
-     *  allocated (atomics are not movable) and reused across drains. */
-    std::unique_ptr<std::atomic<uint32_t>[]> remaining_;
-    size_t remainingCap_ = 0;
-    /** Wakes the fold when the next unready command's count hits 0. */
-    std::mutex drainMutex_;
-    std::condition_variable drainCv_;
 };
 
 } // namespace pim::core

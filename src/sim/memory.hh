@@ -71,7 +71,8 @@ class FlatMemory
      * Drop the backing store and reallocate it lazily zeroed: returns
      * every touched page to the OS. Contents are lost; capacity is
      * unchanged. Used to bound peak memory when thousands of DPUs are
-     * simulated once and reduced (core::simulateDpus and friends).
+     * simulated once and reduced (Dpu::reclaimMemory, called by the
+     * graph-update launches once a shard's results are read).
      */
     void reset();
 

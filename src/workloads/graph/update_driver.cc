@@ -4,6 +4,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "alloc/allocator.hh"
 #include "core/pim_system.hh"
@@ -93,6 +94,22 @@ namespace {
 constexpr sim::MramAddr kTableBase = 48u << 20;
 
 /**
+ * Node-partitioned tasklet work: tasklet k owns the local nodes with
+ * id % tasklets == k, so no two tasklets ever touch the same adjacency
+ * list. Splits @p edges into one list per tasklet by source node, each
+ * in stream order, so every tasklet inserts exactly the edges it would
+ * have picked out of the whole range.
+ */
+std::vector<std::vector<Edge>>
+bucketBySrc(std::span<const Edge> edges, unsigned tasklets)
+{
+    std::vector<std::vector<Edge>> mine(tasklets);
+    for (const Edge &e : edges)
+        mine[e.src % tasklets].push_back(e);
+    return mine;
+}
+
+/**
  * Untimed deployment of @p shard on @p dpu: the structure under test
  * (and its allocator, initialized) is created into @p graph and
  * @p allocator, the pre-update graph is built by cfg.tasklets tasklets,
@@ -129,13 +146,8 @@ deployShard(sim::Dpu &dpu, const GraphUpdateConfig &cfg, const Shard &shard,
                 graph->build(t, shard.baseEdges);
         });
     } else {
-        // Node-partitioned parallel build: tasklet k owns local nodes
-        // with id % tasklets == k, so no two tasklets ever touch the
-        // same adjacency list. Each tasklet's edges are bucketed once,
-        // in stream order.
-        std::vector<std::vector<Edge>> mine(cfg.tasklets);
-        for (const Edge &e : shard.baseEdges)
-            mine[e.src % cfg.tasklets].push_back(e);
+        const std::vector<std::vector<Edge>> mine =
+            bucketBySrc(shard.baseEdges, cfg.tasklets);
         dpu.run(cfg.tasklets,
                 [&](sim::Tasklet &t) { graph->build(t, mine[t.id()]); });
     }
@@ -549,13 +561,14 @@ GraphUpdateTask::Impl::step()
             const uint64_t c = st.shard.updateEdges.size();
             const uint64_t lo = r * c / rounds;
             const uint64_t hi = (r + 1) * c / rounds;
+            const std::vector<std::vector<Edge>> mine = bucketBySrc(
+                std::span<const Edge>(st.shard.updateEdges)
+                    .subspan(lo, hi - lo),
+                cfg.tasklets);
 
             dpu.resetStats();
             dpu.run(cfg.tasklets, [&](sim::Tasklet &t) {
-                for (uint64_t i = lo; i < hi; ++i) {
-                    const Edge &e = st.shard.updateEdges[i];
-                    if (e.src % cfg.tasklets != t.id())
-                        continue;
+                for (const Edge &e : mine[t.id()]) {
                     const bool ok = st.graph->insertEdge(t, e.src, e.dst);
                     PIM_ASSERT(ok, "update insertion failed (capacity)");
                 }
@@ -1000,10 +1013,10 @@ runGraphUpdate(const GraphUpdateConfig &cfg)
         std::unique_ptr<GraphStructure> graph;
         deployShard(dpu, cfg, shard, allocator, graph);
 
+        const std::vector<std::vector<Edge>> mine =
+            bucketBySrc(shard.updateEdges, cfg.tasklets);
         dpu.run(cfg.tasklets, [&](sim::Tasklet &t) {
-            for (const auto &e : shard.updateEdges) {
-                if (e.src % cfg.tasklets != t.id())
-                    continue;
+            for (const Edge &e : mine[t.id()]) {
                 const bool ok = graph->insertEdge(t, e.src, e.dst);
                 PIM_ASSERT(ok, "update insertion failed (capacity)");
             }

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the parallel multi-DPU execution engine: thread-count
- * invariance of MultiDpuResult (the deterministic-reduction guarantee),
- * correct merge of per-worker partials against a sequential reference,
- * PIM_SIM_THREADS resolution, and forEach coverage/exception semantics.
+ * invariance of a whole-system program launch reduced in slot order
+ * (the deterministic-reduction guarantee), correct merge of per-worker
+ * partials against a sequential reference, PIM_SIM_THREADS resolution,
+ * and forEach coverage/exception semantics.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +18,8 @@
 #include <vector>
 
 #include "core/command_queue.hh"
-#include "core/host_runtime.hh"
 #include "core/parallel_engine.hh"
 #include "core/pim_system.hh"
-#include "core/system.hh"
 #include "sim/mutex.hh"
 #include "workloads/graph/update_driver.hh"
 
@@ -39,8 +38,8 @@ smallDpuCfg()
 }
 
 /** A contention-free per-DPU program with index-dependent compute,
- *  DMA traffic, and idle time, so every MultiDpuResult field is
- *  exercised (incl. the floating-point reductions). */
+ *  DMA traffic, and idle time, so every Reduction field is exercised
+ *  (incl. the floating-point reductions). */
 void
 referenceProgram(sim::Dpu &dpu, unsigned idx)
 {
@@ -52,17 +51,62 @@ referenceProgram(sim::Dpu &dpu, unsigned idx)
     });
 }
 
-MultiDpuResult
+/** Slot-order reduction of one whole-system launch. */
+struct Reduction
+{
+    unsigned simulatedDpus = 0;
+    uint64_t maxCycles = 0;
+    double maxSeconds = 0.0;
+    double meanSeconds = 0.0;
+    sim::CycleBreakdown breakdown{};
+    sim::TrafficStats traffic{};
+};
+
+/**
+ * Run @p program once on every materialized DPU of a @p num_dpus system
+ * through PimSystem + CommandQueue, then fold the sampled slots in slot
+ * order: max makespan, mean seconds, summed breakdown and traffic.
+ */
+Reduction
+launchProgram(unsigned num_dpus,
+              void (*program)(sim::Dpu &, unsigned), unsigned sample,
+              unsigned threads)
+{
+    PimSystemConfig scfg;
+    scfg.numDpus = num_dpus;
+    scfg.sampleDpus = sample;
+    scfg.dpuCfg = smallDpuCfg();
+    scfg.simThreads = threads;
+    PimSystem sys(scfg);
+    CommandQueue queue(sys);
+    queue.launchProgram(sys.all(), program);
+    queue.sync();
+
+    Reduction out;
+    out.simulatedDpus = sys.sampleCount();
+    double sum_seconds = 0.0;
+    for (unsigned slot = 0; slot < sys.sampleCount(); ++slot) {
+        const sim::Dpu &dpu = sys.dpu(slot);
+        out.maxCycles = std::max(out.maxCycles, dpu.lastElapsedCycles());
+        sum_seconds += dpu.lastElapsedSeconds();
+        out.breakdown.merge(dpu.lastBreakdown());
+        out.traffic.merge(dpu.traffic());
+    }
+    out.maxSeconds = scfg.dpuCfg.cyclesToSeconds(out.maxCycles);
+    out.meanSeconds =
+        sum_seconds / static_cast<double>(out.simulatedDpus);
+    return out;
+}
+
+Reduction
 runWithThreads(unsigned num_dpus, unsigned threads, unsigned sample = 0)
 {
-    return simulateDpus(num_dpus, smallDpuCfg(), referenceProgram,
-                        sample, threads);
+    return launchProgram(num_dpus, referenceProgram, sample, threads);
 }
 
 void
-expectIdentical(const MultiDpuResult &a, const MultiDpuResult &b)
+expectIdentical(const Reduction &a, const Reduction &b)
 {
-    EXPECT_EQ(a.numDpus, b.numDpus);
     EXPECT_EQ(a.simulatedDpus, b.simulatedDpus);
     EXPECT_EQ(a.maxCycles, b.maxCycles);
     // Bit-identical doubles, not just approximately equal: the chunked
@@ -98,7 +142,6 @@ TEST(ParallelEngine, ThreadCountInvarianceUnderSampling)
     const auto r1 = runWithThreads(512, 1, 48);
     const auto r8 = runWithThreads(512, 8, 48);
     expectIdentical(r1, r8);
-    EXPECT_EQ(r1.numDpus, 512u);
     EXPECT_EQ(r1.simulatedDpus, 48u);
 }
 
@@ -124,37 +167,6 @@ TEST(ParallelEngine, MergesPartialsLikeSequentialReference)
     EXPECT_EQ(r.traffic.dataReadBytes, ref_traffic.dataReadBytes);
     EXPECT_EQ(r.traffic.dataWriteBytes, ref_traffic.dataWriteBytes);
     EXPECT_EQ(r.traffic.dmaTransfers, ref_traffic.dmaTransfers);
-}
-
-TEST(ParallelEngine, SimulateDpusFacadeMatchesManualQueueUse)
-{
-    // The synchronous facade and a hand-driven PimSystem+CommandQueue
-    // must produce identical reductions.
-    const auto facade =
-        simulateDpus(96, smallDpuCfg(), referenceProgram, 0, 3);
-
-    PimSystemConfig scfg;
-    scfg.numDpus = 96;
-    scfg.dpuCfg = smallDpuCfg();
-    scfg.simThreads = 3;
-    PimSystem sys(scfg);
-    CommandQueue queue(sys);
-    queue.launchProgram(sys.all(), referenceProgram);
-    queue.sync();
-
-    uint64_t max_cycles = 0;
-    sim::CycleBreakdown breakdown{};
-    sim::TrafficStats traffic{};
-    for (unsigned slot = 0; slot < sys.sampleCount(); ++slot) {
-        max_cycles =
-            std::max(max_cycles, sys.dpu(slot).lastElapsedCycles());
-        breakdown.merge(sys.dpu(slot).lastBreakdown());
-        traffic.merge(sys.dpu(slot).traffic());
-    }
-    EXPECT_EQ(facade.maxCycles, max_cycles);
-    for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
-        EXPECT_EQ(facade.breakdown.cycles[k], breakdown.cycles[k]);
-    EXPECT_EQ(facade.traffic.totalBytes(), traffic.totalBytes());
 }
 
 TEST(ParallelEngine, ResolveThreadsPrecedence)
@@ -237,29 +249,32 @@ TEST(ParallelEngine, ForEachPropagatesExceptions)
                  std::runtime_error);
 }
 
-TEST(ParallelEngine, HostRuntimeLaunchIsThreadCountInvariant)
+TEST(ParallelEngine, QueueLaunchIsThreadCountInvariant)
 {
     auto launch = [](unsigned threads) {
-        HostRuntimeConfig cfg;
+        PimSystemConfig cfg;
         cfg.numDpus = 64;
         cfg.sampleDpus = 32;
         cfg.dpuCfg = smallDpuCfg();
         cfg.simThreads = threads;
-        HostRuntime rt(cfg);
-        rt.pimLaunch(8, [](sim::Tasklet &t, unsigned idx) {
+        PimSystem sys(cfg);
+        CommandQueue queue(sys);
+        queue.launch(sys.all(), 8, [](sim::Tasklet &t, unsigned idx) {
             t.execute(100 + idx + t.id());
             t.dmaRead(0, 64);
         });
-        return rt.elapsedSeconds();
+        return queue.sync();
     };
     const double s1 = launch(1);
     const double s8 = launch(8);
     EXPECT_EQ(s1, s8); // bit-identical timeline
     EXPECT_GT(s1, 0.0);
 
-    HostRuntimeConfig cfg;
+    PimSystemConfig cfg;
+    cfg.sampleDpus = 4;
+    cfg.dpuCfg = smallDpuCfg();
     cfg.simThreads = 6;
-    EXPECT_EQ(HostRuntime(cfg).simThreads(), 6u);
+    EXPECT_EQ(PimSystem(cfg).engine().threadCount(), 6u);
 }
 
 TEST(ParallelEngine, GraphUpdateDriverIsThreadCountInvariant)
@@ -417,11 +432,9 @@ TEST(ParallelEngine, PinnedPlacementIsDeterministicAndCovers)
             prev = owner;
         }
 
-        const auto r = simulateDpus(64, smallDpuCfg(), referenceProgram,
-                                    0, 4);
+        const auto r = runWithThreads(64, 4);
         ::unsetenv("PIM_SIM_AFFINITY");
-        const auto ref = simulateDpus(64, smallDpuCfg(),
-                                      referenceProgram, 0, 4);
+        const auto ref = runWithThreads(64, 4);
         expectIdentical(r, ref);
     }
     ::unsetenv("PIM_SIM_AFFINITY");
@@ -433,11 +446,11 @@ TEST(ParallelEngine, QueueMutexThreadCountInvariance)
     // guarantee across PIM_SIM_THREADS settings...
     ScopedMutexMode queue(sim::SimMutex::Mode::Queue);
     const auto r1 =
-        simulateDpus(130, smallDpuCfg(), contendedProgram, 0, 1);
+        launchProgram(130, contendedProgram, 0, 1);
     const auto r4 =
-        simulateDpus(130, smallDpuCfg(), contendedProgram, 0, 4);
+        launchProgram(130, contendedProgram, 0, 4);
     const auto r7 =
-        simulateDpus(130, smallDpuCfg(), contendedProgram, 0, 7);
+        launchProgram(130, contendedProgram, 0, 7);
     expectIdentical(r1, r4);
     expectIdentical(r1, r7);
     EXPECT_GT(r1.breakdown.of(sim::CycleKind::BusyWait), 0u);
@@ -446,6 +459,6 @@ TEST(ParallelEngine, QueueMutexThreadCountInvariance)
     // reference (the cross-mode fidelity contract, at system scale).
     ScopedMutexMode spin(sim::SimMutex::Mode::Spin);
     const auto s4 =
-        simulateDpus(130, smallDpuCfg(), contendedProgram, 0, 4);
+        launchProgram(130, contendedProgram, 0, 4);
     expectIdentical(r1, s4);
 }

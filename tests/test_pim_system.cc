@@ -11,7 +11,10 @@
 
 #include <array>
 #include <atomic>
+#include <memory>
+#include <vector>
 
+#include "core/allocator_factory.hh"
 #include "core/command_queue.hh"
 #include "core/pim_system.hh"
 
@@ -220,6 +223,19 @@ TEST(CommandQueue, HeterogeneousLaunchProgram)
     EXPECT_NEAR(q.rankReadySeconds(0),
                 kLaunchOverhead + launchSeconds(2000), 1e-12);
     EXPECT_NEAR(makespan, kLaunchOverhead + launchSeconds(4000), 1e-12);
+
+    // Sampled system: the launch costs the slowest sampled DPU (global
+    // 32, the straggler) plus the configured launch latency.
+    PimSystem sampled(smallSystem(64, 64, 2));
+    CommandQueue qs(sampled);
+    qs.launch(sampled.all(), 1, [](sim::Tasklet &t, unsigned g) {
+        t.execute(g == 0 ? 10 : 10000);
+    });
+    const double sampled_makespan = qs.sync();
+    EXPECT_NEAR(sampled_makespan,
+                sampled.dpu(1).lastElapsedSeconds()
+                    + sampled.config().xferCfg.launchLatencySec,
+                1e-12);
 }
 
 TEST(CommandQueue, BlockingMemcpyOccupiesHostBusAndRanks)
@@ -233,6 +249,14 @@ TEST(CommandQueue, BlockingMemcpyOccupiesHostBusAndRanks)
     EXPECT_DOUBLE_EQ(q.busReadySeconds(), sec);
     EXPECT_DOUBLE_EQ(q.rankReadySeconds(0), sec);
     EXPECT_EQ(q.transferredBytes(), uint64_t{4} << 20);
+
+    // More total bytes over a saturated bus: a 512-DPU copy costs more
+    // than a 64-DPU one of the same per-DPU size.
+    PimSystem sys64(smallSystem(64, 64, 2));
+    PimSystem sys512(smallSystem(512, 64, 2));
+    CommandQueue q64(sys64), q512(sys512);
+    EXPECT_GT(q512.memcpy(sys512.all(), 1 << 20, CopyDirection::PimToHost),
+              q64.memcpy(sys64.all(), 1 << 20, CopyDirection::PimToHost));
 }
 
 TEST(CommandQueue, AsyncMemcpyDoesNotBlockHost)
@@ -275,6 +299,18 @@ TEST(CommandQueue, ScatterMemcpyCostsSummedPayload)
     EXPECT_EQ(q.transferredBytes(), 10'000u);
 }
 
+TEST(CommandQueue, HostComputeRunsInWavesOfHostThreads)
+{
+    PimSystemConfig cfg = smallSystem(4, 2);
+    cfg.hostCfg.threads = 4;
+    PimSystem sys(cfg);
+    CommandQueue q(sys);
+    const double one_wave = q.hostCompute(4, 1000);
+    const double two_waves = q.hostCompute(8, 1000);
+    EXPECT_NEAR(two_waves, 2 * one_wave, 1e-12);
+    EXPECT_NEAR(q.sync(), one_wave + two_waves, 1e-12);
+}
+
 TEST(CommandQueue, EventDependencyOrdersAcrossTimelines)
 {
     PimSystem sys(smallSystem(4, 2));
@@ -282,7 +318,7 @@ TEST(CommandQueue, EventDependencyOrdersAcrossTimelines)
     const Event done = q.launch(
         sys.all(), 1, [](sim::Tasklet &t, unsigned) { t.execute(1000); });
     // Explicitly ordered behind the launch completion: no overlap.
-    const double host_sec = q.hostCompute(1, 1'000'000, done);
+    const double host_sec = q.hostCompute(1, 1'000'000, {.after = done});
     const double makespan = q.sync();
     EXPECT_NEAR(makespan,
                 kLaunchOverhead + launchSeconds(1000) + host_sec, 1e-12);
@@ -320,6 +356,7 @@ TEST(CommandQueue, ResetTimelineKeepsDpuState)
     });
     q.memcpy(sys.all(), 1024, CopyDirection::HostToPim);
     EXPECT_GT(q.sync(), 0.0);
+    EXPECT_EQ(q.transferredBytes(), 2048u);
     q.resetTimeline();
     EXPECT_DOUBLE_EQ(q.elapsedSeconds(), 0.0);
     EXPECT_DOUBLE_EQ(q.busReadySeconds(), 0.0);
@@ -327,6 +364,40 @@ TEST(CommandQueue, ResetTimelineKeepsDpuState)
     EXPECT_DOUBLE_EQ(q.launchWorkSeconds(), 0.0);
     // DPU state (last run) survives the timeline reset.
     EXPECT_EQ(sys.dpu(0).lastElapsedCycles(), 500u * 11u);
+}
+
+TEST(CommandQueue, Fig5dAllocatorProgramMovesNoBytes)
+{
+    // The PIM-Metadata/PIM-Executed pseudo-program of Fig 5(d): one
+    // launch runs initAllocator, a second allocates on-device; the only
+    // host<->PIM traffic is the launches themselves. Full-size MRAM:
+    // the allocator heap sits above the small test config's 1 MiB.
+    PimSystemConfig cfg = smallSystem(64, 64, 2);
+    cfg.dpuCfg = sim::DpuConfig{};
+    PimSystem sys(cfg);
+    CommandQueue q(sys);
+    std::vector<std::unique_ptr<alloc::Allocator>> allocators;
+    for (unsigned slot = 0; slot < sys.sampleCount(); ++slot) {
+        AllocatorOverrides ov;
+        ov.numTasklets = 4;
+        ov.heapBytes = 1u << 20;
+        allocators.push_back(makeAllocator(
+            sys.dpu(slot), AllocatorKind::PimMallocSw, ov));
+    }
+    auto allocatorOf = [&](unsigned global) -> alloc::Allocator & {
+        return *allocators[sys.slotOf(global)];
+    };
+    q.launch(sys.all(), 1, [&](sim::Tasklet &t, unsigned g) {
+        allocatorOf(g).init(t);
+    });
+    q.launch(sys.all(), 4, [&](sim::Tasklet &t, unsigned g) {
+        for (int i = 0; i < 16; ++i)
+            ASSERT_NE(allocatorOf(g).malloc(t, 64), sim::kNullAddr);
+    });
+    EXPECT_GT(q.sync(), 0.0);
+    EXPECT_EQ(q.transferredBytes(), 0u);
+    for (const auto &a : allocators)
+        EXPECT_EQ(a->stats().mallocCalls, 4u * 16u);
 }
 
 TEST(CommandQueue, UnsampledRanksChargedRepresentativeMakespan)
@@ -376,7 +447,7 @@ TEST(CommandQueue, ResetTimelineRebasesEarlierEvents)
     q.resetTimeline();
     // A pre-reset event must not leak its old absolute completion time
     // into the new epoch.
-    const double host_sec = q.hostCompute(1, 1000, e);
+    const double host_sec = q.hostCompute(1, 1000, {.after = e});
     EXPECT_DOUBLE_EQ(q.sync(), host_sec);
 }
 
@@ -502,7 +573,7 @@ TEST(CommandQueue, EventSecondsOrdersDependentTimedLaunches)
     const DpuSet b = sys.rankRange(1, 1);
     const Event first = q.launchTimed(a, 1e-3);
     // Dependent launch on a different rank starts only after `first`.
-    const Event second = q.launchTimed(b, 1e-3, first);
+    const Event second = q.launchTimed(b, 1e-3, {.after = first});
     EXPECT_NEAR(q.eventSeconds(second),
                 q.eventSeconds(first) + 1e-3, 1e-12);
     // eventSeconds drains but does not join: the host is still at the
